@@ -52,8 +52,8 @@ val checkpoint : t -> unit
 (** Make the data file durable, then truncate the log: flush the
     catalog and every dirty page (each write-back syncs the log first),
     {!Xqdb_storage.Disk.sync}, and only then
-    {!Xqdb_storage.Wal.checkpoint}.  Also runs automatically once the
-    log grows past a threshold (~1 MB) at load/drop boundaries. *)
+    {!Xqdb_storage.Wal.checkpoint}.  Also runs at load/drop boundaries,
+    but only once the log has grown past a threshold (1 MiB). *)
 
 val load_document : t -> name:string -> string -> Engine.t
 (** Parse, shred and index a document under [name].

@@ -14,9 +14,12 @@ type frame = {
   mutable pins : int;
   mutable dirty : bool;
   (* LSN of the WAL record holding this frame's current contents; 0 when
-     the latest mutation is not yet logged.  Write-back appends a record
-     only when this is 0, so a retried write-back never duplicates one. *)
+     the latest mutation is not yet logged.  A sync appends a record only
+     for such frames, so a retried write-back never duplicates one. *)
   mutable logged_lsn : int;
+  (* The pool's mutation clock when this frame's last mutation completed
+     (0 before the first): the order in which a sync logs dirty frames. *)
+  mutable mut_seq : int;
   (* Intrusive LRU list links: [lru_prev] points toward the MRU head,
      [lru_next] toward the LRU tail. *)
   mutable lru_prev : frame option;
@@ -77,6 +80,7 @@ type t = {
   mutable misses : int;
   mutable evictions : int;
   mutable retries : int;
+  mutable mut_clock : int;  (* completed mutations, stamps [mut_seq] *)
   (* Lockdep class names for this pool's frame latches and table mutex —
      unique per pool so two pools' page ids never alias in the global
      order graph (see {!Lock_order}). *)
@@ -126,6 +130,7 @@ let create ?(capacity = 64) ?(sanitize = env_sanitize) ?(retry_policy = Retry.de
     misses = 0;
     evictions = 0;
     retries = 0;
+    mut_clock = 0;
     lockdep_page = Printf.sprintf "pool%d.page" seq;
     lockdep_table = Printf.sprintf "pool%d.table" seq }
 
@@ -137,10 +142,10 @@ let sanitizing t = t.sanitize
 (* Every public entry point brackets its table work with this; helpers
    below assume the mutex is already held and never re-take it.  Under
    the sanitizer the table mutex participates in lockdep: latch -> table
-   edges are expected (nested page use and mutation-time WAL logging run
-   table work under a held latch), but a table -> latch edge — waiting
-   on a latch while holding the table mutex — would close a cycle and is
-   exactly the protocol violation the checker exists to catch. *)
+   edges are expected (nested page use runs table work under a held
+   latch), but a table -> latch edge — waiting on a latch while holding
+   the table mutex — would close a cycle and is exactly the protocol
+   violation the checker exists to catch. *)
 let locked t f =
   if t.sanitize then Lock_order.before_acquire ~cls:t.lockdep_table ~inst:(-1);
   Mutex.lock t.lock;
@@ -198,31 +203,58 @@ let touch t frame =
     detach t frame;
     push_front t frame
 
+(* A domain is inside [with_page_mut] on this frame: its bytes are not a
+   state to log or persist until the callback returns. *)
+let held_exclusively frame = List.exists snd frame.latch_holds
+
+(* Under the sanitizer, in-flight changes live in the shadow; fold them
+   in so a flush during an active pin persists what a non-sanitizing
+   pool would. *)
+let fold_shadow frame =
+  match frame.shadow with
+  | Some s -> Bytes.blit s 0 frame.buf 0 (Bytes.length s)
+  | None -> ()
+
+(* Group logging: append one after-image for every dirty frame whose
+   contents are not in the log, in the order their last mutations
+   completed, so a sync torn partway persists a prefix of that order
+   (a catalog page registering a document lands after the document's
+   pages).  A record counts as missing when the frame was never logged
+   since its last mutation ([= 0]) or when a torn sync dropped it and
+   rolled [last_lsn] back past it ([> last_lsn]).  Frames held
+   exclusively are skipped; the sync after their callback logs them.
+   The table mutex is held and no domain mutates the frames logged, so
+   each image is a state the page really had. *)
+let log_unlogged t wal =
+  Hashtbl.fold
+    (fun _ frame acc ->
+      if frame.dirty
+         && (frame.logged_lsn = 0 || frame.logged_lsn > Wal.last_lsn wal)
+         && not (held_exclusively frame)
+      then frame :: acc
+      else acc)
+    t.frames []
+  |> List.sort (fun a b -> Int.compare a.mut_seq b.mut_seq)
+  |> List.iter (fun frame ->
+         fold_shadow frame;
+         frame.logged_lsn <- Wal.append wal ~page_id:frame.page_id ~data:frame.buf)
+
+(* A frame held exclusively is left dirty: its contents are mid-mutation,
+   and under a log it has no record yet. *)
 let write_back t frame =
-  if frame.dirty then begin
-    (* Under the sanitizer, in-flight changes live in the shadow; fold
-       them in so a flush during an active pin persists what a
-       non-sanitizing pool would. *)
-    (match frame.shadow with
-     | Some s -> Bytes.blit s 0 frame.buf 0 (Bytes.length s)
-     | None -> ());
+  if frame.dirty && not (held_exclusively frame) then begin
+    fold_shadow frame;
     (* WAL before data: the after-image must be durable before the page
-       itself is.  Frames whose latest contents are already logged (the
-       common case — mutation-time logging) are not re-appended, so a
-       retried write-back never duplicates a record. *)
+       itself is.  Logging happens here, at sync time, for every unlogged
+       dirty frame at once — a page mutated K times between syncs costs
+       one record, not K.  The log-and-sync pair is retried as a unit;
+       frames already logged are not re-appended, so a retried
+       write-back never duplicates a record. *)
     (match t.wal with
      | None -> ()
      | Some wal ->
-       (* The log-and-sync pair is retried as a unit.  A torn sync may
-          have dropped this frame's pending record and rolled the log's
-          [last_lsn] back past it; in that case [logged_lsn] points at a
-          record that no longer exists, and skipping the append would
-          write the page with no durable record — violating WAL before
-          data.  So re-append whenever the frame's record is unlogged
-          ([= 0]) or fell off the log ([> last_lsn]). *)
        with_retries t (fun () ->
-           if frame.logged_lsn = 0 || frame.logged_lsn > Wal.last_lsn wal then
-             frame.logged_lsn <- Wal.append wal ~page_id:frame.page_id ~data:frame.buf;
+           log_unlogged t wal;
            Wal.sync wal);
        if t.sanitize && Wal.synced_lsn wal < frame.logged_lsn then
          raise
@@ -267,6 +299,7 @@ let insert_frame t page_id buf dirty =
       pins = 0;
       dirty;
       logged_lsn = 0;
+      mut_seq = 0;
       lru_prev = None;
       lru_next = None;
       shadow = None }
@@ -494,6 +527,7 @@ let use t page_id ~mut f =
             false
         in
         let p = pin_frame t frame in
+        (* A mutation only marks the frame: the next sync logs it. *)
         if mut then begin
           frame.dirty <- true;
           frame.logged_lsn <- 0
@@ -520,34 +554,23 @@ let use t page_id ~mut f =
            unpin_locked t p);
        raise e)
   end;
-  let result =
-    Fun.protect
-      ~finally:(fun () ->
-        if p.pin_latched then begin
-          p.pin_latched <- false;
-          if t.sanitize then Lock_order.after_release ~cls:t.lockdep_page ~inst:page_id;
-          Latch.release frame.latch
-        end;
-        locked t (fun () ->
-            if acquire then
-              frame.latch_holds <-
-                List.filter (fun (d', _) -> d' <> d) frame.latch_holds;
-            unpin_locked t p))
-      (fun () -> f (pin_buffer p))
-  in
-  (* Mutation-time logging: append the after-image as soon as the
-     mutation completes (after the unpin, so the sanitizer's shadow has
-     been folded into [buf]).  A callback that raises leaves the frame
-     with [logged_lsn = 0]; write-back logs it then.  Logging outside
-     [Fun.protect] keeps an injected crash out of [~finally]. *)
-  (match t.wal with
-   | None -> ()
-   | Some wal ->
-     if mut then
-       locked t (fun () ->
-           frame.logged_lsn <-
-             with_retries t (fun () -> Wal.append wal ~page_id ~data:frame.buf)));
-  result
+  Fun.protect
+    ~finally:(fun () ->
+      if p.pin_latched then begin
+        p.pin_latched <- false;
+        if t.sanitize then Lock_order.after_release ~cls:t.lockdep_page ~inst:page_id;
+        Latch.release frame.latch
+      end;
+      locked t (fun () ->
+          if mut then begin
+            t.mut_clock <- t.mut_clock + 1;
+            frame.mut_seq <- t.mut_clock
+          end;
+          if acquire then
+            frame.latch_holds <-
+              List.filter (fun (d', _) -> d' <> d) frame.latch_holds;
+          unpin_locked t p))
+    (fun () -> f (pin_buffer p))
 
 let with_page t page_id f = use t page_id ~mut:false f
 let with_page_mut t page_id f = use t page_id ~mut:true f

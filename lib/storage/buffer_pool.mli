@@ -50,13 +50,18 @@
 
     {2 Write-ahead logging}
 
-    A pool created with [~wal] logs every page mutation to the {!Wal}:
-    the after-image is appended when [with_page_mut] completes, and
-    before a dirty frame is written back the log is synced at least to
-    that frame's record (WAL before data).  A frame records the LSN of
-    its logged contents, so a write-back retried after a fault does not
-    append a duplicate record.  Under the sanitizer, writing back a page
-    whose record is not yet durable raises {!Sanitizer_violation}.
+    A pool created with [~wal] logs at sync time, not at mutation time:
+    [with_page_mut] only marks its frame dirty and unlogged.  Before a
+    dirty frame is written back, the pool appends one after-image for
+    every dirty frame whose contents are not yet logged — in the order
+    their last mutations completed — and syncs the log (WAL before
+    data).  So there is at most one record per dirty page per sync.  A
+    frame some domain holds inside [with_page_mut] is skipped, and is
+    not written back either; the sync after its callback logs it.  A
+    frame records the LSN of its logged contents, so a write-back
+    retried after a fault does not append a duplicate record.  Under
+    the sanitizer, writing back a page whose record is not yet durable
+    raises {!Sanitizer_violation}.
 
     {2 Pin sanitizer}
 
@@ -104,7 +109,7 @@ val create :
     [retry_policy] governs the transient-fault backoff (see {!Retry});
     it must keep the whole window short — retries sleep under the
     table mutex.  [wal], when given, enables write-ahead logging of
-    every mutation. *)
+    every page written back (see {e Write-ahead logging} above). *)
 
 val disk : t -> Disk.t
 
@@ -127,7 +132,8 @@ val with_page_mut : t -> int -> (bytes -> 'a) -> 'a
     {!flush_all}. *)
 
 val flush_all : t -> unit
-(** Write back all dirty frames (they stay cached). *)
+(** Write back all dirty frames (they stay cached), except any a domain
+    holds inside [with_page_mut] at the time. *)
 
 val drop_all : t -> unit
 (** Flush and forget every frame; the next access re-reads from disk.

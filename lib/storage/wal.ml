@@ -1,12 +1,12 @@
 (* A redo-only physical write-ahead log.
 
-   Records are page after-images: whenever the buffer pool finishes a
-   mutation it appends the page's full contents here, and before a dirty
-   frame is written back the log is synced up to that record.  Recovery
-   is then a blind, idempotent rewrite of every durable after-image in
-   LSN order — no undo, because a page write-back never happens before
-   its record is durable, so the database file can only be {e behind}
-   the log, never ahead of it.
+   Records are page after-images: before a dirty frame is written back,
+   the buffer pool appends the full contents of every dirty page whose
+   latest mutation is not yet logged, then syncs.  Recovery is then a
+   blind, idempotent rewrite of every durable after-image in LSN order —
+   no undo, because a page write-back never happens before its record
+   is durable, so the database file can only be {e behind} the log,
+   never ahead of it.
 
    The log distinguishes durable bytes (survive a crash) from pending
    bytes (appended but not yet synced; a crash drops them).  For the
@@ -42,8 +42,8 @@ type t = {
   mutable injector : (op -> fault) option;
   mutable no_sync : bool;
 }
-(* Append/sync run under the owning pool's table mutex (mutation-time
-   logging and write-back both happen inside the pool's bracket). *)
+(* Append/sync run under the owning pool's table mutex (the pool logs
+   and syncs only inside write-back, within its bracket). *)
 [@@guarded_by pool_table_lock]
 
 type replay_stats = {

@@ -1,8 +1,8 @@
 (** A redo-only physical write-ahead log.
 
-    The {!Buffer_pool} appends a page's full after-image after every
-    mutation and syncs the log before writing the page back, so the
-    database file is never ahead of the durable log.  Recovery
+    Before it writes a dirty page back, the {!Buffer_pool} appends the
+    full after-image of every dirty page not yet logged and syncs the
+    log, so the database file is never ahead of the durable log.  Recovery
     ({!replay}) blindly rewrites every durable after-image in LSN order
     — idempotent, so recovering twice (or crashing during recovery and
     recovering again) is safe.

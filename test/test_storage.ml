@@ -1296,18 +1296,35 @@ let test_wal_before_data_sanitizer () =
   Alcotest.(check char) "flush succeeds once the log syncs" 'z'
     (Bytes.get (S.Disk.read_page disk p) 0)
 
+(* The durable log's records, oldest first, as (lsn, page id, image). *)
+let durable_records wal =
+  let acc = ref [] in
+  ignore
+    (S.Wal.replay wal ~apply:(fun ~lsn ~page_id data ->
+         acc := (lsn, page_id, Bytes.copy data) :: !acc));
+  List.rev !acc
+
 let test_wal_retry_no_duplicate_append () =
-  (* A transient write fault during write-back must not re-log the
-     frame: the retry reuses the LSN already appended for it. *)
+  (* Logging happens at sync time, once per dirty page: the mutation
+     appends nothing, the write-back appends one record, and a write-back
+     retried after transient faults reuses it. *)
   let disk = S.Disk.in_memory ~page_size:256 () in
   let wal = S.Wal.in_memory () in
   let pool = S.Buffer_pool.create ~capacity:4 ~wal disk in
   let p = S.Buffer_pool.alloc_page pool in
   let appends_before = S.Wal.last_lsn wal in
-  (* The mutation itself logs the after-image... *)
   S.Buffer_pool.with_page_mut pool p (fun buf -> Bytes.set buf 0 'q');
-  Alcotest.(check int) "mutation logged once" 1 (S.Wal.last_lsn wal - appends_before);
-  (* ...so the faulting write-back retries must reuse that record. *)
+  Alcotest.(check int) "a mutation appends nothing" 0 (S.Wal.last_lsn wal - appends_before);
+  (* One transient sync fault retries the log-and-sync unit; two
+     transient write faults retry the page write. *)
+  S.Wal.set_injector wal
+    (Some
+       (let fired = ref false in
+        function
+        | S.Wal.Sync when not !fired ->
+          fired := true;
+          S.Wal.Fail "transient sync"
+        | S.Wal.Sync | S.Wal.Append -> S.Wal.No_fault));
   let remaining = ref 2 in
   S.Disk.set_injector disk
     (Some (fun op _ ->
@@ -1318,13 +1335,116 @@ let test_wal_retry_no_duplicate_append () =
        | _ -> S.Disk.No_fault));
   S.Buffer_pool.flush_all pool;
   S.Disk.set_injector disk None;
+  S.Wal.set_injector wal None;
   Alcotest.(check char) "write-back landed after retries" 'q'
     (Bytes.get (S.Disk.read_page disk p) 0);
-  Alcotest.(check int) "retries appended no duplicate records" 1
+  Alcotest.(check int) "write-back appended exactly one record" 1
     (S.Wal.last_lsn wal - appends_before);
+  Alcotest.(check int) "the record is durable" (S.Wal.last_lsn wal) (S.Wal.synced_lsn wal);
   (* A clean frame re-flushed appends nothing either. *)
   S.Buffer_pool.flush_all pool;
   Alcotest.(check int) "clean flush appends nothing" 1 (S.Wal.last_lsn wal - appends_before)
+
+(* K mutations of one page between syncs cost one record, and replaying
+   it reproduces the page's final bytes. *)
+let test_group_log_one_record_per_page () =
+  let disk = S.Disk.in_memory ~page_size:256 () in
+  let wal = S.Wal.in_memory () in
+  let pool = S.Buffer_pool.create ~capacity:4 ~wal disk in
+  let p = S.Buffer_pool.alloc_page pool in
+  for k = 1 to 50 do
+    S.Buffer_pool.with_page_mut pool p (fun buf -> Bytes.set buf (32 + k) (Char.chr (64 + k)))
+  done;
+  Alcotest.(check int) "mutations append nothing" 0 (S.Wal.last_lsn wal);
+  S.Buffer_pool.flush_all pool;
+  let final = S.Buffer_pool.with_page pool p Bytes.copy in
+  (match durable_records wal with
+   | [ (_, id, image) ] ->
+     Alcotest.(check int) "the record is the page's" p id;
+     let replayed = S.Disk.in_memory ~page_size:256 () in
+     while S.Disk.page_count replayed <= p do
+       ignore (S.Disk.alloc replayed)
+     done;
+     S.Disk.write_page replayed p image;
+     Alcotest.(check string) "replay reproduces the final bytes" (Bytes.to_string final)
+       (Bytes.to_string (S.Disk.read_page replayed p))
+   | records ->
+     Alcotest.failf "expected one record, the log holds %d" (List.length records))
+
+(* One sync's records come out in the order the pages' last mutations
+   completed, so a torn sync persists a prefix of that order. *)
+let test_group_log_mutation_order () =
+  let disk = S.Disk.in_memory ~page_size:256 () in
+  let wal = S.Wal.in_memory () in
+  let pool = S.Buffer_pool.create ~capacity:8 ~wal disk in
+  let a = S.Buffer_pool.alloc_page pool in
+  let b = S.Buffer_pool.alloc_page pool in
+  let c = S.Buffer_pool.alloc_page pool in
+  S.Buffer_pool.flush_all pool;
+  let synced = S.Wal.last_lsn wal in
+  List.iter
+    (fun p -> S.Buffer_pool.with_page_mut pool p (fun buf -> Bytes.set buf 40 'm'))
+    [ a; b; c; a ];
+  S.Buffer_pool.flush_all pool;
+  let order =
+    List.filter_map
+      (fun (lsn, id, _) -> if lsn > synced then Some id else None)
+      (durable_records wal)
+  in
+  Alcotest.(check (list int)) "last-mutation order" [ b; c; a ] order
+
+(* Domain A holds page P inside [with_page_mut] while domain B forces a
+   write-back sync.  P's half-done bytes must be neither logged nor
+   written; once A returns, the next sync logs A's final bytes. *)
+let test_group_log_skips_held_page () =
+  let order_violations = S.Metrics.counter "latch.order_violations" in
+  let violations_before = S.Metrics.value order_violations in
+  let disk = S.Disk.in_memory ~page_size:128 () in
+  let wal = S.Wal.in_memory () in
+  let pool = S.Buffer_pool.create ~capacity:8 ~wal disk in
+  let p = S.Buffer_pool.alloc_page pool in
+  let q = S.Buffer_pool.alloc_page pool in
+  S.Buffer_pool.flush_all pool;
+  let synced = S.Wal.last_lsn wal in
+  let inside = Atomic.make false and release = Atomic.make false in
+  let rec wait flag =
+    if not (Atomic.get flag) then begin
+      Domain.cpu_relax ();
+      wait flag
+    end
+  in
+  let a =
+    Domain.spawn (fun () ->
+        S.Buffer_pool.with_page_mut pool p (fun buf ->
+            Bytes.set buf 100 'x';
+            Atomic.set inside true;
+            wait release;
+            Bytes.set buf 100 'a'))
+  in
+  wait inside;
+  S.Buffer_pool.with_page_mut pool q (fun buf -> Bytes.set buf 100 'b');
+  S.Buffer_pool.flush_all pool;
+  let logged_since lsn =
+    List.filter (fun (l, _, _) -> l > lsn) (durable_records wal)
+  in
+  let during = logged_since synced in
+  Alcotest.(check (list int)) "only the free page is logged while P is held" [ q ]
+    (List.map (fun (_, id, _) -> id) during);
+  Alcotest.(check char) "P's half-done bytes were not written" '\000'
+    (Bytes.get (S.Disk.read_page disk p) 100);
+  let after_hold = S.Wal.last_lsn wal in
+  Atomic.set release true;
+  Domain.join a;
+  S.Buffer_pool.flush_all pool;
+  (match logged_since after_hold with
+   | [ (_, id, image) ] ->
+     Alcotest.(check int) "the next record is P's" p id;
+     Alcotest.(check char) "it carries A's final bytes" 'a' (Bytes.get image 100)
+   | records -> Alcotest.failf "expected one record of P, got %d" (List.length records));
+  Alcotest.(check char) "P written back with A's final bytes" 'a'
+    (Bytes.get (S.Disk.read_page disk p) 100);
+  Alcotest.(check int) "no lock-order violations" 0
+    (S.Metrics.value order_violations - violations_before)
 
 (* --- crash points --------------------------------------------------------- *)
 
@@ -1382,6 +1502,54 @@ let test_crash_point_model () =
         ignore (S.Disk.read_page disk id)
       done)
     [1; (total + 1) / 2; total]
+
+(* A torn crash at every durability event of a bulk load plus its
+   checkpoint.  The 256-frame pool evicts nothing during the load, so
+   the checkpoint's one sync carries every page: a torn sync persists a
+   prefix of it, and that prefix must never register a document whose
+   pages it does not carry.  Every catalogued document must pass its
+   index invariants after recovery. *)
+let test_torn_checkpoint_recovery () =
+  let module Db = Xqdb_core.Database in
+  let config = { Xqdb_core.Engine_config.m4 with Xqdb_core.Engine_config.pool_capacity = 256 } in
+  let xml = Xqdb_workload.Dblp_gen.generate_string (Xqdb_workload.Dblp_gen.scaled 20) in
+  let run crash_at =
+    let disk = S.Disk.in_memory () in
+    let wal = S.Wal.in_memory () in
+    let cp = S.Crash_point.install ~crash_at ~torn:true ~disk ~wal () in
+    let crashed =
+      match
+        let db = Db.create_on ~config ~wal disk in
+        ignore (Db.load_document db ~name:"dblp" xml);
+        Db.checkpoint db
+      with
+      | () -> false
+      | exception S.Crash_point.Crash _ -> true
+      | exception S.Disk.Disk_error _ when S.Crash_point.crashed cp -> true
+    in
+    S.Crash_point.disarm cp;
+    (S.Crash_point.events cp, crashed, disk, wal)
+  in
+  let total, crashed, _, _ = run 0 in
+  Alcotest.(check bool) "crash-free run completes" false crashed;
+  let corrupt = ref [] in
+  for point = 1 to total do
+    let _, crashed, disk, wal = run point in
+    if not crashed then Alcotest.failf "crash point %d did not interrupt" point;
+    S.Wal.crash_discard wal;
+    match
+      let db = Db.open_disk ~config ~wal disk in
+      List.iter
+        (fun name ->
+          Xqdb_xasr.Node_store.check_invariants (Xqdb_core.Engine.store (Db.engine db ~name)))
+        (Db.document_names db)
+    with
+    | () -> ()
+    | exception e -> corrupt := Printf.sprintf "%d: %s" point (Printexc.to_string e) :: !corrupt
+  done;
+  Alcotest.(check (list string))
+    (Printf.sprintf "every one of %d torn crashes recovers" total)
+    [] (List.rev !corrupt)
 
 let test_crash_point_operations_fail_after_crash () =
   let disk = S.Disk.in_memory ~page_size:256 () in
@@ -1443,12 +1611,20 @@ let () =
           Alcotest.test_case "WAL-before-data sanitizer" `Quick
             test_wal_before_data_sanitizer;
           Alcotest.test_case "retry appends no duplicate" `Quick
-            test_wal_retry_no_duplicate_append ] );
+            test_wal_retry_no_duplicate_append;
+          Alcotest.test_case "one record per dirty page per sync" `Quick
+            test_group_log_one_record_per_page;
+          Alcotest.test_case "records in last-mutation order" `Quick
+            test_group_log_mutation_order;
+          Alcotest.test_case "held page logged after its callback" `Quick
+            test_group_log_skips_held_page ] );
       ( "crash points",
         [ Alcotest.test_case "first, middle and last event" `Quick
             test_crash_point_model;
           Alcotest.test_case "operations fail after crash" `Quick
-            test_crash_point_operations_fail_after_crash ] );
+            test_crash_point_operations_fail_after_crash;
+          Alcotest.test_case "torn crash during a checkpoint" `Quick
+            test_torn_checkpoint_recovery ] );
       ( "fault injection",
         [ Alcotest.test_case "read faults" `Quick test_fault_disk_read;
           Alcotest.test_case "torn writes" `Quick test_fault_disk_torn;
